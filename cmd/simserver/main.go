@@ -92,7 +92,7 @@ func main() {
 		maxBatch = flag.Int("max-batch", 0,
 			"max sources per /batch/singlesource request (default 128)")
 		cacheBytes = flag.Int64("cache-bytes", 64<<20,
-			"query-result cache capacity in bytes (0 disables caching)")
+			"query-result cache capacity in bytes (0 disables caching); a single-source result takes 12 bytes per scored node, and one larger than a 16th of the capacity is not cached")
 		cacheTTL = flag.Duration("cache-ttl", 0,
 			"query-result cache entry lifetime (0 = no age bound; graph-version keying already prevents stale results)")
 		pprofOn  = flag.Bool("pprof", false, "mount /debug/pprof/ (trusted ports only)")

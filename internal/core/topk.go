@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"crashsim/internal/graph"
@@ -51,7 +53,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err != nil {
 		return nil, err
 	}
-	ranked := rankScores(scores, u)
+	ranked := Rank(scores, u)
 	if len(ranked) == 0 {
 		return nil, nil
 	}
@@ -73,7 +75,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err != nil {
 		return nil, err
 	}
-	final := rankScores(rescored, u)
+	final := Rank(rescored, u)
 	if k > len(final) {
 		k = len(final)
 	}
@@ -94,20 +96,56 @@ func SinglePairCtx(ctx context.Context, g *graph.Graph, u, v graph.NodeID, p Par
 	return s[v], nil
 }
 
-func rankScores(s Scores, u graph.NodeID) []TopKResult {
-	out := make([]TopKResult, 0, len(s))
+// compareRanked is the serving order of ranked results: score
+// descending, ties by ascending node id. It is a total order on
+// non-NaN scores, so a ranking never depends on map iteration order.
+func compareRanked(a, b TopKResult) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	default:
+		return cmp.Compare(a.Node, b.Node)
+	}
+}
+
+// Rank returns every entry of s except the source u, sorted by
+// compareRanked. It is the one ranking every top-k path uses: the
+// engine's fallback and ranked cache entries, metrics.TopK and TopKCtx.
+//
+// Single-source results often score most nodes exactly zero, so only
+// the non-zero entries go through the score comparator; the zero block
+// sorts by node id alone and is spliced in ahead of any negative
+// scores, which yields the same order as one compareRanked sort.
+func Rank(s Scores, u graph.NodeID) []TopKResult {
+	n := len(s)
+	if _, ok := s[u]; ok {
+		n--
+	}
+	out := make([]TopKResult, n)
+	nz, z := 0, n // non-zero entries fill from the front, zeros from the back
 	for v, score := range s {
 		if v == u {
 			continue
 		}
-		out = append(out, TopKResult{Node: v, Score: score})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+		if score == 0 {
+			z--
+			out[z] = TopKResult{Node: v, Score: score}
+		} else {
+			out[nz] = TopKResult{Node: v, Score: score}
+			nz++
 		}
-		return out[i].Node < out[j].Node
-	})
+	}
+	slices.SortFunc(out[:nz], compareRanked)
+	zeros := out[nz:]
+	slices.SortFunc(zeros, func(a, b TopKResult) int { return cmp.Compare(a.Node, b.Node) })
+	// Negative scores rank below the zero block.
+	if neg := sort.Search(nz, func(i int) bool { return out[i].Score < 0 }); neg < nz && len(zeros) > 0 {
+		tail := slices.Clone(out[neg:nz])
+		copy(out[neg:], zeros)
+		copy(out[neg+len(zeros):], tail)
+	}
 	return out
 }
 

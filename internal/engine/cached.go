@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -46,9 +45,16 @@ import (
 // key, so concurrent identical requests still coalesce to one
 // computation per source.
 //
-// Values handed to callers are clones of the cached canonical copy
-// (maps and slices are aliasable; a caller mutating its result must not
-// corrupt the cache). Pair scores are values and need no cloning.
+// A single-source entry ("ss" and "ssw" keys) holds one immutable
+// Ranked: the backend's map ranked once, when the entry is filled. Its
+// accessors copy, so every reader shares the one stored value and no
+// caller can corrupt it. RankedSingleSource and RankedMultiSource serve
+// an entry as it is stored, and a top-k answer costs k rows; the
+// map-returning SingleSource and MultiSource rebuild a fresh map per
+// call. Native top-k results (crashsim's coarse-then-refine schedule,
+// whose scores are not a prefix of its single-source result) keep
+// their own "topk" key and are cloned on the way out. Pair scores are
+// values and need no cloning.
 
 // CacheConfig wires an Estimator to a result cache.
 type CacheConfig struct {
@@ -151,17 +157,23 @@ func (e *cached) keyAt(version uint64, op string, args ...int64) string {
 }
 
 // Accounted sizes are estimates of in-memory footprint, not exact
-// byte counts: enough to keep the byte budget honest without weighing
-// every map bucket.
+// byte counts: enough to keep the byte budget honest. Single-source
+// entries account through Ranked.size.
 const (
-	scoresEntrySize = 48 // NodeID key + float64 value + bucket overhead
-	scoresBaseSize  = 64
-	topKEntrySize   = 16 // TopKResult{int32, float64} + padding
-	topKBaseSize    = 64
-	pairSize        = 16
+	topKEntrySize = 16 // TopKResult{int32, float64} + padding
+	topKBaseSize  = 64
+	pairSize      = 16
 )
 
 func (e *cached) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
+	r, err := e.rankedSingleSource(ctx, u, omega)
+	if err != nil {
+		return nil, err
+	}
+	return r.Map(), nil
+}
+
+func (e *cached) rankedSingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (*Ranked, error) {
 	args := make([]int64, 0, 1+len(omega))
 	args = append(args, int64(u))
 	for _, v := range omega {
@@ -176,14 +188,13 @@ func (e *cached) SingleSource(ctx context.Context, u graph.NodeID, omega []graph
 		if err != nil {
 			return nil, 0, err
 		}
-		return s, scoresBaseSize + scoresEntrySize*int64(len(s)), nil
+		r := newRanked(s, u)
+		return r, r.size(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Clone on every path: the canonical copy stays private to the
-	// cache, so callers may mutate their result freely.
-	return maps.Clone(v.(core.Scores)), nil
+	return v.(*Ranked), nil
 }
 
 func (e *cached) topKThrough(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
@@ -214,16 +225,40 @@ func (e *cached) pairThrough(ctx context.Context, u, v graph.NodeID) (float64, e
 	return r.(float64), nil
 }
 
-// multiThrough serves a batch through the cache: probe each source's
-// "ss" key (keys are assembled once up front, pinning one graph version
-// for the whole batch), serve the hits from memory, and compute only
-// the missing sources — deduplicated — as one inner batch. The inner
-// call runs lazily inside the first missing key's Do fill, so a source
-// another goroutine is already computing is waited on (singleflight)
-// rather than recomputed, and a fully cached batch never touches the
-// backend.
 func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	out := make([]core.Scores, len(sources))
+	rs, err := e.rankedMultiSource(ctx, sources)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.Scores, len(rs))
+	for i, r := range rs {
+		out[i] = r.Map()
+	}
+	return out, nil
+}
+
+// rankedMultiSource serves a batch through the cache. Without a native
+// batch mode it is a loop of single-source lookups. With one it probes
+// each source's "ss" key (keys are assembled once up front, pinning one
+// graph version for the whole batch), serves the hits from memory, and
+// computes only the missing sources — deduplicated — as one inner
+// batch. The inner call runs lazily inside the first missing key's Do
+// fill, so a source another goroutine is already computing is waited
+// on (singleflight) rather than recomputed, and a fully cached batch
+// never touches the backend. Duplicate sources share one Ranked.
+func (e *cached) rankedMultiSource(ctx context.Context, sources []graph.NodeID) ([]*Ranked, error) {
+	out := make([]*Ranked, len(sources))
+	ms, ok := e.inner.(MultiSourcer)
+	if !ok {
+		for i, u := range sources {
+			r, err := e.rankedSingleSource(ctx, u, nil)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = r
+		}
+		return out, nil
+	}
 	var missUniq []graph.NodeID
 	missKey := make(map[graph.NodeID]string)
 	version := e.cc.Version()
@@ -233,7 +268,7 @@ func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]co
 		}
 		key := e.keyAt(version, "ss", int64(u))
 		if v, ok := e.cc.Cache.Get(key); ok {
-			out[i] = v.(core.Scores)
+			out[i] = v.(*Ranked)
 			continue
 		}
 		missKey[u] = key
@@ -242,12 +277,12 @@ func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]co
 
 	// One lazy inner batch shared by every missing key's fill closure:
 	// whichever Do actually computes first triggers it; the rest read
-	// their source's slice out of the finished batch.
+	// their source's map out of the finished batch.
 	var batch map[graph.NodeID]core.Scores
 	var batchErr error
 	fill := func(ctx context.Context) error {
 		if batch == nil && batchErr == nil {
-			res, err := e.inner.(MultiSourcer).MultiSource(ctx, missUniq)
+			res, err := ms.MultiSource(ctx, missUniq)
 			if err != nil {
 				batchErr = err
 			} else {
@@ -264,23 +299,17 @@ func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]co
 			if err := fill(ctx); err != nil {
 				return nil, 0, err
 			}
-			s := batch[u]
-			return s, scoresBaseSize + scoresEntrySize*int64(len(s)), nil
+			r := newRanked(batch[u], u)
+			return r, r.size(), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		canon := v.(core.Scores)
 		for i, src := range sources {
 			if src == u {
-				out[i] = canon
+				out[i] = v.(*Ranked)
 			}
 		}
-	}
-	// Clone on every path: the canonical copies stay private to the
-	// cache, and duplicate sources must not alias each other.
-	for i := range out {
-		out[i] = maps.Clone(out[i])
 	}
 	return out, nil
 }

@@ -82,10 +82,16 @@ func TestBatchValidation(t *testing.T) {
 		"empty":     `{"sources":[]}`,
 		"oversized": `{"sources":[0,1,2]}`,
 		"bad k":     `{"sources":[0],"k":-1}`,
+		"unknown":   `{"sources":[0],"k":2,"kk":3}`,
+		"trailing":  `{"sources":[0],"k":2} x`,
+		"two":       `{"sources":[0]}{"sources":[1]}`,
 	} {
 		if rec, resp := post(t, s, "/batch/singlesource", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d %v, want 400", name, rec.Code, resp)
 		}
+	}
+	if rec, resp := post(t, s, "/batch/singlesource", " {\"sources\":[0],\"k\":2}\n\t "); rec.Code != http.StatusOK {
+		t.Errorf("whitespace around the body: %d %v, want 200", rec.Code, resp)
 	}
 }
 

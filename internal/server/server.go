@@ -39,9 +39,11 @@
 // parameters and graph version, with singleflight coalescing so a
 // thundering herd on one hot node costs a single backend computation.
 // Estimates are deterministic for a fixed seed, so a cached result is
-// exactly what recomputing would return. Cache occupancy and hit/miss/
-// coalesced counters appear on /stats and /metrics, and /health gains
-// an allocation-free cache_hit_ratio field.
+// exactly what recomputing would return. Single-source results are
+// cached ranked (engine.Ranked), so a hit on /singlesource, a batch
+// item or a fallback /topk copies k rows instead of ranking n. Cache
+// occupancy and hit/miss/coalesced counters appear on /stats and
+// /metrics, and /health gains an allocation-free cache_hit_ratio field.
 package server
 
 import (
@@ -49,6 +51,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -60,7 +63,6 @@ import (
 	"crashsim/internal/core"
 	"crashsim/internal/engine"
 	"crashsim/internal/graph"
-	"crashsim/internal/metrics"
 	"crashsim/internal/obs"
 	"crashsim/internal/prsim"
 	"crashsim/internal/reads"
@@ -104,9 +106,10 @@ type Config struct {
 	MaxBatch int
 	// CacheBytes bounds the query-result cache's accounted size; zero
 	// or negative disables caching. Sizing guidance: a single-source
-	// result costs ~48 bytes per non-zero-score node, so 64 MiB holds
-	// full results for roughly 1400 hub sources on a 10^6-node graph —
-	// usually far more than the hot query set.
+	// result is stored ranked at 12 bytes per scored node (most
+	// backends score every node), so 64 MiB holds ~200 results on a
+	// 26k-node graph. A result larger than one of the cache's 16
+	// shards (CacheBytes/16) is not cached.
 	CacheBytes int64
 	// CacheTTL bounds every cache entry's age; zero means entries live
 	// until evicted or their graph version is superseded. Version-keyed
@@ -582,6 +585,14 @@ type scoredNode struct {
 	Score float64      `json:"score"`
 }
 
+func scored(top []core.TopKResult) []scoredNode {
+	out := make([]scoredNode, len(top))
+	for i, rn := range top {
+		out[i] = scoredNode{Node: rn.Node, Score: rn.Score}
+	}
+	return out
+}
+
 func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	u, err := s.nodeParam(r, "u")
 	if err != nil {
@@ -595,17 +606,12 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	scores, err := s.est.SingleSource(ctx, u, nil)
+	ranked, err := engine.RankedSingleSource(ctx, s.est, u)
 	if err != nil {
 		writeQueryErr(w, err)
 		return
 	}
-	top := metrics.TopK(scores, u, k)
-	out := make([]scoredNode, len(top))
-	for i, v := range top {
-		out[i] = scoredNode{Node: v, Score: scores[v]}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": out})
+	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": scored(ranked.Top(k))})
 }
 
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
@@ -655,13 +661,30 @@ func (s *Server) maxBatchBody() int64 {
 	return int64(s.cfg.MaxBatch)*32 + 4096
 }
 
+// decodeBatch decodes exactly one batch object from body: unknown
+// fields and anything but whitespace after the object are errors.
+func decodeBatch(body io.Reader, req *batchRequest) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the batch object")
+		}
+		return err
+	}
+	return nil
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Bound the body before decoding: MaxBatch alone cannot protect the
 	// decoder, which would otherwise buffer an arbitrarily large body
 	// just to count its sources.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBody())
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBatch(r.Body, &req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeErr(w, http.StatusBadRequest,
@@ -717,7 +740,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(valid) > 0 {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
-		scores, err := engine.MultiSource(ctx, s.est, valid)
+		ranked, err := engine.RankedMultiSource(ctx, s.est, valid)
 		if err != nil {
 			writeQueryErr(w, err)
 			return
@@ -727,15 +750,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if items[i].Error != "" {
 				continue
 			}
-			sc := scores[j]
+			items[i].Results = scored(ranked[j].Top(k))
 			j++
-			u := graph.NodeID(items[i].Source)
-			top := metrics.TopK(sc, u, k)
-			out := make([]scoredNode, len(top))
-			for x, v := range top {
-				out[x] = scoredNode{Node: v, Score: sc[v]}
-			}
-			items[i].Results = out
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"k": k, "items": items})
@@ -754,14 +770,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	ranked, err := engine.TopK(ctx, s.est, u, k)
+	top, err := engine.TopK(ctx, s.est, u, k)
 	if err != nil {
 		writeQueryErr(w, err)
 		return
 	}
-	out := make([]scoredNode, len(ranked))
-	for i, rn := range ranked {
-		out[i] = scoredNode{Node: rn.Node, Score: rn.Score}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": out})
+	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": scored(top)})
 }
