@@ -44,6 +44,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -51,9 +52,6 @@ import (
 	"crashsim"
 	"crashsim/internal/engine"
 	"crashsim/internal/graph"
-	"crashsim/internal/prsim"
-	"crashsim/internal/reads"
-	"crashsim/internal/sling"
 	"crashsim/internal/store"
 )
 
@@ -210,7 +208,7 @@ func runStatic(graphFile, profile string, scale float64, source int, algo string
 	return nil
 }
 
-// runIndexed is the index-persistence path for the sling and reads
+// runIndexed is the index-persistence path for the index-based
 // backends: build + snapshot (-save-index), or answer from a snapshot
 // (-load-index), optionally proving the loaded index bit-identical to
 // a rebuild (-verify-index). When loading, the index parameters come
@@ -218,8 +216,10 @@ func runStatic(graphFile, profile string, scale float64, source int, algo string
 // command is self-contained.
 func runIndexed(graphFile, profile string, scale float64, source int, algo string, topk int,
 	save, load string, verify, useMmap bool, hubFraction float64, opt crashsim.Options) error {
-	if algo != "sling" && algo != "reads" && algo != "prsim" {
-		return fmt.Errorf("-save-index/-load-index need an index-based backend (sling, reads or prsim), got %q", algo)
+	fam, ok := engine.LookupIndex(algo)
+	if !ok {
+		return fmt.Errorf("-save-index/-load-index need an index-based backend (%s), got %q",
+			strings.Join(engine.IndexNames(), ", "), algo)
 	}
 	if load != "" && save != "" {
 		return fmt.Errorf("-save-index and -load-index are mutually exclusive")
@@ -240,6 +240,7 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 	var g *crashsim.Graph
 	if load != "" {
 		start := time.Now()
+		var src engine.IndexSource
 		if useMmap {
 			policy := store.VerifyOnLoadSection
 			if verify {
@@ -249,66 +250,27 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 			if err != nil {
 				return err
 			}
-			g = mp.Graph()
+			defer mp.Close()
+			g, src = mp.Graph(), mp
 			fmt.Printf("snapshot %s: graph n=%d m=%d version=%#x (mapped %d bytes in %v, crc %s)\n",
 				load, g.NumNodes(), g.NumEdges(), g.Version(), mp.MappedBytes(),
 				time.Since(start).Round(time.Microsecond), policy)
-			importStart := time.Now()
-			switch algo {
-			case "sling":
-				ix, err := mp.ImportSling(g)
-				if err != nil {
-					return err
-				}
-				fillSling(&ecfg, ix)
-			case "reads":
-				ix, err := mp.ImportReads(g)
-				if err != nil {
-					return err
-				}
-				fillReads(&ecfg, ix)
-			case "prsim":
-				ix, err := mp.ImportPRSim(g)
-				if err != nil {
-					return err
-				}
-				fillPRSim(&ecfg, ix)
-			}
-			fmt.Printf("imported %s index in %v\n", algo, time.Since(importStart).Round(time.Microsecond))
 		} else {
 			snap, err := store.Load(load)
 			if err != nil {
 				return err
 			}
-			g = snap.Graph
+			g, src = snap.Graph, snap
 			fmt.Printf("snapshot %s: graph n=%d m=%d version=%#x (loaded in %v)\n",
 				load, g.NumNodes(), g.NumEdges(), g.Version(), time.Since(start).Round(time.Microsecond))
-			importStart := time.Now()
-			switch algo {
-			case "sling":
-				ix, err := snap.ImportSling(g)
-				if err != nil {
-					return err
-				}
-				fillSling(&ecfg, ix)
-			case "reads":
-				ix, err := snap.ImportReads(g)
-				if err != nil {
-					return err
-				}
-				fillReads(&ecfg, ix)
-			case "prsim":
-				ix, err := snap.ImportPRSim(g)
-				if err != nil {
-					return err
-				}
-				fillPRSim(&ecfg, ix)
-			}
-			fmt.Printf("imported %s index in %v\n", algo, time.Since(importStart).Round(time.Microsecond))
 		}
-		if err := verifyLoaded(ctx, verify, algo, g, ecfg); err != nil {
+		importStart := time.Now()
+		if err := fam.Import(src, g, &ecfg); err != nil {
 			return err
 		}
+		// Answer with the parameters recorded in the snapshot.
+		fam.Adopt(&ecfg)
+		fmt.Printf("imported %s index in %v\n", algo, time.Since(importStart).Round(time.Microsecond))
 	} else {
 		var err error
 		if g, err = loadStatic(graphFile, profile, scale, opt.Seed); err != nil {
@@ -320,32 +282,10 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 			Meta:  store.Meta{Dataset: datasetSpec(graphFile, profile, scale, opt.Seed), Tool: "crashsim", CreatedUnix: time.Now().Unix()},
 		}
 		buildStart := time.Now()
-		switch algo {
-		case "sling":
-			ix, err := engine.BuildSlingIndex(ctx, g, ecfg)
-			if err != nil {
-				return err
-			}
-			ecfg.SlingIndex = ix
-			p := ix.Export()
-			snap.Sling = &p
-		case "reads":
-			ix, err := engine.BuildReadsIndex(ctx, g, ecfg)
-			if err != nil {
-				return err
-			}
-			ecfg.ReadsIndex = ix
-			p := ix.Export()
-			snap.Reads = &p
-		case "prsim":
-			ix, err := engine.BuildPRSimIndex(ctx, g, ecfg)
-			if err != nil {
-				return err
-			}
-			ecfg.PRSimIndex = ix
-			p := ix.Export()
-			snap.PRSim = &p
+		if err := fam.Build(ctx, g, &ecfg); err != nil {
+			return err
 		}
+		fam.Export(ecfg, snap)
 		fmt.Printf("built %s index in %v\n", algo, time.Since(buildStart).Round(time.Microsecond))
 		if err := store.Write(save, snap); err != nil {
 			return err
@@ -355,6 +295,9 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 
 	est, err := engine.New(ctx, algo, g, ecfg)
 	if err != nil {
+		return err
+	}
+	if err := verifyLoaded(ctx, verify, est, g, ecfg); err != nil {
 		return err
 	}
 	u := crashsim.NodeID(source)
@@ -370,44 +313,17 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 	return nil
 }
 
-// fillSling/fillReads/fillPRSim adopt a loaded index into the engine
-// config together with the parameters recorded in its snapshot, so a
-// -load-index run answers with the snapshot's own settings.
-func fillSling(ecfg *engine.Config, ix *sling.Index) {
-	ecfg.SlingIndex = ix
-	o := ix.Options()
-	ecfg.C, ecfg.Eps, ecfg.Seed = o.C, o.Eps, o.Seed
-	ecfg.SlingDSamples = o.DSamples
-}
-
-func fillReads(ecfg *engine.Config, ix *reads.Index) {
-	ecfg.ReadsIndex = ix
-	o := ix.Options()
-	ecfg.C, ecfg.Seed = o.C, o.Seed
-	ecfg.ReadsR, ecfg.ReadsRQ = o.R, o.RQ
-}
-
-func fillPRSim(ecfg *engine.Config, ix *prsim.Index) {
-	ecfg.PRSimIndex = ix
-	o := ix.Options()
-	ecfg.C, ecfg.Eps, ecfg.Delta, ecfg.Seed = o.C, o.Eps, o.Delta, o.Seed
-	ecfg.Iterations, ecfg.HubFraction, ecfg.PRSimDSamples = o.Iterations, o.HubFraction, o.DSamples
-}
-
 // verifyLoaded rebuilds the index from the snapshot's own graph with
 // the snapshot's recorded parameters and insists every node's
-// single-source scores are bit-identical to the loaded index's — the
-// cross-process equivalence check CI runs against a snapshot built in
-// a separate step.
-func verifyLoaded(ctx context.Context, verify bool, algo string, g *crashsim.Graph, ecfg engine.Config) error {
+// single-source scores are bit-identical to those of loaded, the
+// estimator over the loaded index — the cross-process equivalence
+// check CI runs against a snapshot built in a separate step.
+func verifyLoaded(ctx context.Context, verify bool, loaded engine.Estimator, g *crashsim.Graph, ecfg engine.Config) error {
 	if !verify {
 		return nil
 	}
 	start := time.Now()
-	loaded, err := engine.New(ctx, algo, g, ecfg)
-	if err != nil {
-		return err
-	}
+	algo := loaded.Name()
 	rcfg := ecfg
 	rcfg.SlingIndex, rcfg.ReadsIndex, rcfg.PRSimIndex = nil, nil, nil
 	rebuilt, err := engine.New(ctx, algo, g, rcfg)
@@ -427,7 +343,7 @@ func verifyLoaded(ctx context.Context, verify bool, algo string, g *crashsim.Gra
 			return fmt.Errorf("verify FAILED: source %d: %d scores rebuilt vs %d loaded", u, len(want), len(have))
 		}
 		for v, s := range want {
-			if hs, ok := have[v]; !ok || hs != s {
+			if hs, ok := have[v]; !ok || math.Float64bits(hs) != math.Float64bits(s) {
 				return fmt.Errorf("verify FAILED: source %d node %d: rebuilt %v, loaded %v", u, v, s, hs)
 			}
 		}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"crashsim"
@@ -56,7 +57,7 @@ func main() {
 		out       = flag.String("o", "", "output file (default stdout)")
 		saveIndex = flag.String("save-index", "",
 			"also build an index over the generated static graph and write a graph+index snapshot here")
-		indexAlgo = flag.String("index-algo", "sling", "index family for -save-index: sling, reads or prsim")
+		indexAlgo = flag.String("index-algo", "sling", "index family for -save-index: "+strings.Join(engine.IndexNames(), ", "))
 	)
 	flag.Parse()
 	if *saveIndex != "" && *temporalF {
@@ -126,37 +127,20 @@ func saveSnapshot(g *graph.Graph, path, algo, spec string, seed uint64) error {
 	if path == "" {
 		return nil
 	}
+	fam, ok := engine.LookupIndex(algo)
+	if !ok {
+		return fmt.Errorf("unknown -index-algo %q (want %s)", algo, strings.Join(engine.IndexNames(), ", "))
+	}
 	ecfg := engine.Config{Seed: seed}
 	snap := &store.Snapshot{
 		Graph: g,
 		Meta:  store.Meta{Dataset: spec, Tool: "gendata", CreatedUnix: time.Now().Unix()},
 	}
 	start := time.Now()
-	switch algo {
-	case "sling":
-		ix, err := engine.BuildSlingIndex(context.Background(), g, ecfg)
-		if err != nil {
-			return err
-		}
-		p := ix.Export()
-		snap.Sling = &p
-	case "reads":
-		ix, err := engine.BuildReadsIndex(context.Background(), g, ecfg)
-		if err != nil {
-			return err
-		}
-		p := ix.Export()
-		snap.Reads = &p
-	case "prsim":
-		ix, err := engine.BuildPRSimIndex(context.Background(), g, ecfg)
-		if err != nil {
-			return err
-		}
-		p := ix.Export()
-		snap.PRSim = &p
-	default:
-		return fmt.Errorf("unknown -index-algo %q (want sling, reads or prsim)", algo)
+	if err := fam.Build(context.Background(), g, &ecfg); err != nil {
+		return err
 	}
+	fam.Export(ecfg, snap)
 	fmt.Fprintf(os.Stderr, "gendata: built %s index in %v\n", algo, time.Since(start).Round(time.Millisecond))
 	if err := store.Write(path, snap); err != nil {
 		return err

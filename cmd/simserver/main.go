@@ -68,10 +68,7 @@ import (
 	"crashsim"
 	"crashsim/internal/core"
 	"crashsim/internal/engine"
-	"crashsim/internal/prsim"
-	"crashsim/internal/reads"
 	"crashsim/internal/server"
-	"crashsim/internal/sling"
 	"crashsim/internal/store"
 )
 
@@ -222,7 +219,8 @@ func parseVerifyPolicy(s string) (store.VerifyPolicy, error) {
 // path ran: mode=mapped|copy|build, the load wall time, and the mapped
 // byte count (0 unless mapped).
 func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMmap bool, policy store.VerifyPolicy) error {
-	if scfg.Algo != "sling" && scfg.Algo != "reads" && scfg.Algo != "prsim" {
+	fam, ok := engine.LookupIndex(scfg.Algo)
+	if !ok {
 		log.Printf("index-dir: backend %q builds no persistent index; ignoring", scfg.Algo)
 		return nil
 	}
@@ -231,8 +229,12 @@ func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMma
 		Iterations: scfg.Params.Iterations, Workers: scfg.Params.Workers,
 		Seed: scfg.Params.Seed, HubFraction: scfg.HubFraction,
 	}
+	// Whichever path below fills ecfg's index hands it to the server.
+	defer func() {
+		scfg.SlingIndex, scfg.ReadsIndex, scfg.PRSimIndex = ecfg.SlingIndex, ecfg.ReadsIndex, ecfg.PRSimIndex
+	}()
 	path := store.SnapshotPath(dir, spec, scfg.Algo)
-	if useMmap && setupMapped(scfg, g, path, policy) {
+	if useMmap && setupMapped(scfg.Algo, fam, &ecfg, g, path, policy) {
 		return nil
 	}
 	loadStart := time.Now()
@@ -240,58 +242,22 @@ func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMma
 		if !errors.Is(err, os.ErrNotExist) {
 			log.Printf("index snapshot %s unusable (%v); rebuilding", path, err)
 		}
-	} else if snap.Graph.Version() != g.Version() {
-		log.Printf("index snapshot %s was built for graph %#x, dataset is %#x; rebuilding",
-			path, snap.Graph.Version(), g.Version())
+	} else if err := fam.Import(snap, g, &ecfg); err != nil {
+		log.Printf("index snapshot %s rejected (%v); rebuilding", path, err)
 	} else {
-		switch scfg.Algo {
-		case "sling":
-			scfg.SlingIndex, err = snap.ImportSling(g)
-		case "reads":
-			scfg.ReadsIndex, err = snap.ImportReads(g)
-		case "prsim":
-			scfg.PRSimIndex, err = snap.ImportPRSim(g)
-		}
-		if err != nil {
-			log.Printf("index snapshot %s rejected (%v); rebuilding", path, err)
-		} else {
-			log.Printf("index load: mode=copy algo=%s wall=%v mapped_bytes=0 path=%s",
-				scfg.Algo, time.Since(loadStart).Round(time.Millisecond), path)
-			return nil
-		}
+		log.Printf("index load: mode=copy algo=%s wall=%v mapped_bytes=0 path=%s",
+			scfg.Algo, time.Since(loadStart).Round(time.Millisecond), path)
+		return nil
 	}
 	start := time.Now()
 	snap := &store.Snapshot{
 		Graph: g,
 		Meta:  store.Meta{Dataset: spec, Tool: "simserver", CreatedUnix: time.Now().Unix()},
 	}
-	var err error
-	switch scfg.Algo {
-	case "sling":
-		var ix *sling.Index
-		if ix, err = engine.BuildSlingIndex(context.Background(), g, ecfg); err == nil {
-			scfg.SlingIndex = ix
-			p := ix.Export()
-			snap.Sling = &p
-		}
-	case "reads":
-		var ix *reads.Index
-		if ix, err = engine.BuildReadsIndex(context.Background(), g, ecfg); err == nil {
-			scfg.ReadsIndex = ix
-			p := ix.Export()
-			snap.Reads = &p
-		}
-	case "prsim":
-		var ix *prsim.Index
-		if ix, err = engine.BuildPRSimIndex(context.Background(), g, ecfg); err == nil {
-			scfg.PRSimIndex = ix
-			p := ix.Export()
-			snap.PRSim = &p
-		}
-	}
-	if err != nil {
+	if err := fam.Build(context.Background(), g, &ecfg); err != nil {
 		return fmt.Errorf("building %s index: %w", scfg.Algo, err)
 	}
+	fam.Export(ecfg, snap)
 	log.Printf("index load: mode=build algo=%s wall=%v mapped_bytes=0 path=%s",
 		scfg.Algo, time.Since(start).Round(time.Millisecond), path)
 	if err := store.Write(path, snap); err != nil {
@@ -303,13 +269,13 @@ func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMma
 	return nil
 }
 
-// setupMapped attempts the zero-copy restart: map the snapshot, gate
-// it on the dataset's graph version, and import the backend's index
-// aliasing the mapping. Returns false on any miss — the caller falls
-// back to the copying loader, then to a rebuild. The Mapped handle is
-// closed before returning; imported indexes hold their own mapping
-// references until server shutdown.
-func setupMapped(scfg *server.Config, g *crashsim.Graph, path string, policy store.VerifyPolicy) bool {
+// setupMapped attempts the zero-copy restart: map the snapshot and
+// import the backend's index into ecfg aliasing the mapping (the
+// import refuses a snapshot of another graph version). Returns false
+// on any miss — the caller falls back to the copying loader, then to
+// a rebuild. The Mapped handle is closed before returning; imported
+// indexes hold their own mapping references until server shutdown.
+func setupMapped(algo string, fam engine.IndexFamily, ecfg *engine.Config, g *crashsim.Graph, path string, policy store.VerifyPolicy) bool {
 	start := time.Now()
 	mp, err := store.OpenMapped(path, store.MapOptions{Verify: policy})
 	if err != nil {
@@ -319,25 +285,12 @@ func setupMapped(scfg *server.Config, g *crashsim.Graph, path string, policy sto
 		return false
 	}
 	defer mp.Close()
-	if mp.GraphVersion() != g.Version() {
-		log.Printf("index snapshot %s was built for graph %#x, dataset is %#x; rebuilding",
-			path, mp.GraphVersion(), g.Version())
-		return false
-	}
-	switch scfg.Algo {
-	case "sling":
-		scfg.SlingIndex, err = mp.ImportSling(g)
-	case "reads":
-		scfg.ReadsIndex, err = mp.ImportReads(g)
-	case "prsim":
-		scfg.PRSimIndex, err = mp.ImportPRSim(g)
-	}
-	if err != nil {
+	if err := fam.Import(mp, g, ecfg); err != nil {
 		log.Printf("index snapshot %s rejected (%v); trying the copying loader", path, err)
 		return false
 	}
 	log.Printf("index load: mode=mapped algo=%s wall=%v mapped_bytes=%d crc=%s path=%s",
-		scfg.Algo, time.Since(start).Round(time.Millisecond), mp.MappedBytes(), policy, path)
+		algo, time.Since(start).Round(time.Millisecond), mp.MappedBytes(), policy, path)
 	return true
 }
 

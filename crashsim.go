@@ -28,7 +28,6 @@ package crashsim
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -344,13 +343,7 @@ type READSIndex struct{ ix *reads.Index }
 // BuildREADS constructs the READS baseline index from g's current edges.
 // R is the stored-walks-per-node parameter (0 means the paper's 100).
 func BuildREADS(g *Graph, r int, opt Options) (*READSIndex, error) {
-	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			return nil, fmt.Errorf("crashsim: copying graph: %w", err)
-		}
-	}
-	ix, err := reads.Build(d, reads.Options{C: opt.C, R: r, Seed: opt.Seed})
+	ix, err := engine.BuildReadsIndex(context.Background(), g, engine.Config{C: opt.C, ReadsR: r, Seed: opt.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -175,6 +175,10 @@ func Store(cfg Config) (*StoreComparison, *Report, error) {
 // and returns its timings.
 func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, sources []int32) (StoreResult, error) {
 	ctx := context.Background()
+	fam, ok := engine.LookupIndex(algo)
+	if !ok {
+		return StoreResult{}, fmt.Errorf("unknown index algo %q", algo)
+	}
 	snap := &store.Snapshot{
 		Graph: g,
 		Meta:  store.Meta{Dataset: dataset, Tool: "bench", CreatedUnix: time.Now().Unix()},
@@ -187,26 +191,10 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 	buildSec := math.Inf(1)
 	for rep := 0; rep < buildTimingReps; rep++ {
 		start := time.Now()
-		switch algo {
-		case "sling":
-			ix, err := engine.BuildSlingIndex(ctx, g, ecfg)
-			if err != nil {
-				return StoreResult{}, err
-			}
-			p := ix.Export()
-			snap.Sling = &p
-			builtCfg.SlingIndex = ix
-		case "reads":
-			ix, err := engine.BuildReadsIndex(ctx, g, ecfg)
-			if err != nil {
-				return StoreResult{}, err
-			}
-			p := ix.Export()
-			snap.Reads = &p
-			builtCfg.ReadsIndex = ix
-		default:
-			return StoreResult{}, fmt.Errorf("unknown index algo %q", algo)
+		if err := fam.Build(ctx, g, &builtCfg); err != nil {
+			return StoreResult{}, err
 		}
+		fam.Export(builtCfg, snap)
 		buildSec = math.Min(buildSec, time.Since(start).Seconds())
 	}
 
@@ -225,20 +213,9 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 	}
 
 	loadSec := math.Inf(1)
-	var loaded *store.Snapshot
 	for rep := 0; rep < storeTimingReps; rep++ {
 		start := time.Now()
-		loaded, err = store.Load(path)
-		if err != nil {
-			return StoreResult{}, err
-		}
-		lcfg := ecfg
-		switch algo {
-		case "sling":
-			lcfg.SlingIndex, err = loaded.ImportSling(loaded.Graph)
-		case "reads":
-			lcfg.ReadsIndex, err = loaded.ImportReads(loaded.Graph)
-		}
+		loaded, lcfg, err := copyImport(path, fam, ecfg)
 		if err != nil {
 			return StoreResult{}, err
 		}
@@ -257,7 +234,7 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 	mappedSec := math.Inf(1)
 	for rep := 0; rep < storeTimingReps; rep++ {
 		start := time.Now()
-		mcfg, mg, release, err := mappedImport(path, algo, ecfg)
+		mcfg, mg, release, err := mappedImport(path, fam, ecfg)
 		if err != nil {
 			return StoreResult{}, err
 		}
@@ -277,17 +254,7 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 	fqCopySec := math.Inf(1)
 	for rep := 0; rep < storeTimingReps; rep++ {
 		start := time.Now()
-		s, err := store.Load(path)
-		if err != nil {
-			return StoreResult{}, err
-		}
-		lcfg := ecfg
-		switch algo {
-		case "sling":
-			lcfg.SlingIndex, err = s.ImportSling(s.Graph)
-		case "reads":
-			lcfg.ReadsIndex, err = s.ImportReads(s.Graph)
-		}
+		s, lcfg, err := copyImport(path, fam, ecfg)
 		if err != nil {
 			return StoreResult{}, err
 		}
@@ -299,7 +266,7 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 	fqMappedSec := math.Inf(1)
 	for rep := 0; rep < storeTimingReps; rep++ {
 		start := time.Now()
-		mcfg, mg, release, err := mappedImport(path, algo, ecfg)
+		mcfg, mg, release, err := mappedImport(path, fam, ecfg)
 		if err != nil {
 			return StoreResult{}, err
 		}
@@ -312,24 +279,14 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 	}
 
 	copyRSS, err := rssDeltaKB(func() (func(), error) {
-		s, err := store.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		switch algo {
-		case "sling":
-			_, err = s.ImportSling(s.Graph)
-		case "reads":
-			_, err = s.ImportReads(s.Graph)
-		}
-		keep := s
-		return func() { _ = keep }, err
+		s, _, err := copyImport(path, fam, ecfg)
+		return func() { _ = s }, err
 	})
 	if err != nil {
 		return StoreResult{}, err
 	}
 	mappedRSS, err := rssDeltaKB(func() (func(), error) {
-		_, _, release, err := mappedImport(path, algo, ecfg)
+		_, _, release, err := mappedImport(path, fam, ecfg)
 		return release, err
 	})
 	if err != nil {
@@ -353,34 +310,31 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 	}, nil
 }
 
+// copyImport loads the snapshot onto the heap and imports its index.
+func copyImport(path string, fam engine.IndexFamily, ecfg engine.Config) (*store.Snapshot, engine.Config, error) {
+	s, err := store.Load(path)
+	if err != nil {
+		return nil, ecfg, err
+	}
+	err = fam.Import(s, s.Graph, &ecfg)
+	return s, ecfg, err
+}
+
 // mappedImport opens the snapshot zero-copy and imports the requested
 // index aliasing the mapping. The returned release closes the index
 // (and with it the last mapping reference; the Mapped handle itself is
 // closed before returning).
-func mappedImport(path, algo string, ecfg engine.Config) (engine.Config, *graph.Graph, func(), error) {
+func mappedImport(path string, fam engine.IndexFamily, ecfg engine.Config) (engine.Config, *graph.Graph, func(), error) {
 	mp, err := store.OpenMapped(path, store.MapOptions{})
 	if err != nil {
 		return ecfg, nil, nil, err
 	}
 	defer mp.Close()
 	g := mp.Graph()
-	switch algo {
-	case "sling":
-		ix, err := mp.ImportSling(g)
-		if err != nil {
-			return ecfg, nil, nil, err
-		}
-		ecfg.SlingIndex = ix
-		return ecfg, g, func() { ix.Close() }, nil
-	case "reads":
-		ix, err := mp.ImportReads(g)
-		if err != nil {
-			return ecfg, nil, nil, err
-		}
-		ecfg.ReadsIndex = ix
-		return ecfg, g, func() { ix.Close() }, nil
+	if err := fam.Import(mp, g, &ecfg); err != nil {
+		return ecfg, nil, nil, err
 	}
-	return ecfg, nil, nil, fmt.Errorf("unknown index algo %q", algo)
+	return ecfg, g, func() { fam.Close(ecfg) }, nil
 }
 
 // answerOne constructs the estimator over a loaded index and answers a

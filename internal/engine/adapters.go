@@ -9,8 +9,6 @@ import (
 	"crashsim/internal/graph"
 	"crashsim/internal/probesim"
 	"crashsim/internal/prsim"
-	"crashsim/internal/reads"
-	"crashsim/internal/sling"
 )
 
 // crashSim adapts the paper's index-free estimator. It is the only
@@ -77,101 +75,20 @@ func (e *probeSim) SingleSource(ctx context.Context, u graph.NodeID, omega []gra
 	return restrict(core.Scores(s), omega, e.g.NumNodes())
 }
 
-// SlingOptions maps a Config to the SLING build options the sling
-// backend uses, so snapshot writers build exactly the index New would.
-func (cfg Config) SlingOptions() sling.Options {
-	return sling.Options{
-		C: cfg.C, Eps: cfg.Eps, DSamples: cfg.SlingDSamples,
-		Workers: cfg.Workers, Seed: cfg.Seed,
-	}
+// indexEstimator adapts a prebuilt sling, reads or prsim index; New
+// pays the index build unless Config carries a compatible preloaded
+// one (see indexFamilies).
+type indexEstimator[Ix interface {
+	SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph.NodeID]float64, error)
+}] struct {
+	name string
+	g    *graph.Graph
+	ix   Ix
 }
 
-// ReadsOptions maps a Config to the READS build options the reads
-// backend uses.
-func (cfg Config) ReadsOptions() reads.Options {
-	return reads.Options{
-		C: cfg.C, R: cfg.ReadsR, RQ: cfg.ReadsRQ,
-		Workers: cfg.Workers, Seed: cfg.Seed,
-	}
-}
+func (e *indexEstimator[Ix]) Name() string { return e.name }
 
-// BuildSlingIndex builds the SLING index the sling backend would build
-// over g for cfg — the write-through path for snapshot persistence
-// (internal/store) without duplicating the option mapping.
-func BuildSlingIndex(ctx context.Context, g *graph.Graph, cfg Config) (*sling.Index, error) {
-	return sling.BuildCtx(ctx, g, cfg.SlingOptions())
-}
-
-// BuildReadsIndex builds the READS index the reads backend would build
-// over g for cfg.
-func BuildReadsIndex(ctx context.Context, g *graph.Graph, cfg Config) (*reads.Index, error) {
-	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			return nil, fmt.Errorf("copying graph: %w", err)
-		}
-	}
-	ix, err := reads.BuildCtx(ctx, d, cfg.ReadsOptions())
-	if err != nil {
-		return nil, err
-	}
-	ix.BindSourceVersion(g.Version())
-	return ix, nil
-}
-
-// PRSimOptions maps a Config to the PRSim build options the prsim
-// backend uses, so snapshot writers build exactly the index New would.
-func (cfg Config) PRSimOptions() prsim.Options {
-	return prsim.Options{
-		C: cfg.C, Eps: cfg.Eps, Delta: cfg.Delta,
-		HubFraction: cfg.HubFraction, Iterations: cfg.Iterations,
-		DSamples: cfg.PRSimDSamples, Workers: cfg.Workers, Seed: cfg.Seed,
-	}
-}
-
-// BuildPRSimIndex builds the PRSim hub index the prsim backend would
-// build over g for cfg — the write-through path for snapshot
-// persistence (internal/store).
-func BuildPRSimIndex(ctx context.Context, g *graph.Graph, cfg Config) (*prsim.Index, error) {
-	return prsim.BuildCtx(ctx, g, cfg.PRSimOptions())
-}
-
-// prsimEstimator adapts the PRSim hub index; New pays the eager hub
-// build unless Config carries a compatible preloaded one. Tail tables
-// keep filling lazily (and concurrently) behind the index's per-node
-// singleflight.
-type prsimEstimator struct {
-	g  *graph.Graph
-	ix *prsim.Index
-}
-
-func newPRSim(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
-	if ix := cfg.PRSimIndex; ix != nil {
-		if v := ix.Graph().Version(); v != g.Version() {
-			return nil, fmt.Errorf("preloaded prsim index built on graph %#x, serving graph is %#x", v, g.Version())
-		}
-		if want, have := cfg.PRSimOptions().WithDefaults(), ix.Options(); !prsimOptionsEqual(want, have) {
-			return nil, fmt.Errorf("preloaded prsim index built with %+v, config asks for %+v", have, want)
-		}
-		return &prsimEstimator{g: g, ix: ix}, nil
-	}
-	ix, err := prsim.BuildCtx(ctx, g, cfg.PRSimOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &prsimEstimator{g: g, ix: ix}, nil
-}
-
-// prsimOptionsEqual compares build-relevant options; Workers is a
-// runtime knob with no effect on the built index.
-func prsimOptionsEqual(a, b prsim.Options) bool {
-	a.Workers, b.Workers = 0, 0
-	return a == b
-}
-
-func (e *prsimEstimator) Name() string { return "prsim" }
-
-func (e *prsimEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
+func (e *indexEstimator[Ix]) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
 	s, err := e.ix.SingleSourceCtx(ctx, u)
 	if err != nil {
 		return nil, err
@@ -179,10 +96,17 @@ func (e *prsimEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega
 	return restrict(core.Scores(s), omega, e.g.NumNodes())
 }
 
+// prsimEstimator adds PRSim's native batch mode. Tail tables keep
+// filling lazily (and concurrently) behind the index's per-node
+// singleflight.
+type prsimEstimator struct {
+	*indexEstimator[*prsim.Index]
+}
+
 // MultiSource shares one lazy hub/tail table build per unique visited
 // node across the whole batch; each entry is bit-identical to the
 // corresponding SingleSource call.
-func (e *prsimEstimator) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+func (e prsimEstimator) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
 	res, err := e.ix.MultiSource(ctx, sources)
 	if err != nil {
 		return nil, err
@@ -192,89 +116,6 @@ func (e *prsimEstimator) MultiSource(ctx context.Context, sources []graph.NodeID
 		out[i] = core.Scores(s)
 	}
 	return out, nil
-}
-
-// slingEstimator adapts the SLING index; New pays the full index build
-// unless Config carries a compatible preloaded one.
-type slingEstimator struct {
-	g  *graph.Graph
-	ix *sling.Index
-}
-
-func newSLING(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
-	if ix := cfg.SlingIndex; ix != nil {
-		if v := ix.Graph().Version(); v != g.Version() {
-			return nil, fmt.Errorf("preloaded sling index built on graph %#x, serving graph is %#x", v, g.Version())
-		}
-		if want, have := cfg.SlingOptions().WithDefaults(), ix.Options(); !slingOptionsEqual(want, have) {
-			return nil, fmt.Errorf("preloaded sling index built with %+v, config asks for %+v", have, want)
-		}
-		return &slingEstimator{g: g, ix: ix}, nil
-	}
-	ix, err := sling.BuildCtx(ctx, g, cfg.SlingOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &slingEstimator{g: g, ix: ix}, nil
-}
-
-// slingOptionsEqual compares build-relevant options; Workers is a
-// runtime knob with no effect on the built index.
-func slingOptionsEqual(a, b sling.Options) bool {
-	a.Workers, b.Workers = 0, 0
-	return a == b
-}
-
-func (e *slingEstimator) Name() string { return "sling" }
-
-func (e *slingEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
-	s, err := e.ix.SingleSourceCtx(ctx, u)
-	if err != nil {
-		return nil, err
-	}
-	return restrict(core.Scores(s), omega, e.g.NumNodes())
-}
-
-// readsEstimator adapts the READS index over a private mutable copy of
-// the served graph; New pays the full index build unless Config carries
-// a compatible preloaded one.
-type readsEstimator struct {
-	g  *graph.Graph
-	ix *reads.Index
-}
-
-func newREADS(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
-	if ix := cfg.ReadsIndex; ix != nil {
-		if v := ix.SourceVersion(); v != g.Version() {
-			return nil, fmt.Errorf("preloaded reads index built on graph %#x, serving graph is %#x", v, g.Version())
-		}
-		if want, have := cfg.ReadsOptions().WithDefaults(), ix.Options(); !readsOptionsEqual(want, have) {
-			return nil, fmt.Errorf("preloaded reads index built with %+v, config asks for %+v", have, want)
-		}
-		return &readsEstimator{g: g, ix: ix}, nil
-	}
-	ix, err := BuildReadsIndex(ctx, g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &readsEstimator{g: g, ix: ix}, nil
-}
-
-// readsOptionsEqual compares build-relevant options; Workers is a
-// runtime knob with no effect on the built index.
-func readsOptionsEqual(a, b reads.Options) bool {
-	a.Workers, b.Workers = 0, 0
-	return a == b
-}
-
-func (e *readsEstimator) Name() string { return "reads" }
-
-func (e *readsEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
-	s, err := e.ix.SingleSourceCtx(ctx, u)
-	if err != nil {
-		return nil, err
-	}
-	return restrict(core.Scores(s), omega, e.g.NumNodes())
 }
 
 // exactEstimator adapts the Power Method ground truth; New pays the
@@ -320,6 +161,9 @@ func (e *exactEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega
 }
 
 func (e *exactEstimator) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}

@@ -33,10 +33,8 @@ import (
 // LRU.
 //
 // Like the metrics wrapper, Cached preserves the inner estimator's
-// capabilities: the returned Estimator advertises TopKer/Pairer/
-// MultiSourcer exactly when the wrapped one does, so the package-level
-// TopK/Pair/MultiSource fallbacks behave identically with and without
-// caching.
+// capabilities (see mirror): the returned Estimator advertises
+// TopKer/Pairer/MultiSourcer exactly when the wrapped one does.
 //
 // Multi-source batches probe per source key — the same "ss" keys
 // single-source queries use, so a batch warms the cache for later
@@ -95,35 +93,7 @@ func Cached(est Estimator, cc CacheConfig) (Estimator, error) {
 	if cc.Version == nil {
 		cc.Version = func() uint64 { return 0 }
 	}
-	base := &cached{inner: est, cc: cc, prefix: cc.Scope + "|" + est.Name() + "|"}
-	var mask int
-	if _, ok := est.(TopKer); ok {
-		mask |= 1
-	}
-	if _, ok := est.(Pairer); ok {
-		mask |= 2
-	}
-	if _, ok := est.(MultiSourcer); ok {
-		mask |= 4
-	}
-	switch mask {
-	case 1:
-		return cachedTopK{base}, nil
-	case 2:
-		return cachedPair{base}, nil
-	case 3:
-		return cachedTopKPair{base}, nil
-	case 4:
-		return cachedMulti{base}, nil
-	case 5:
-		return cachedTopKMulti{base}, nil
-	case 6:
-		return cachedPairMulti{base}, nil
-	case 7:
-		return cachedTopKPairMulti{base}, nil
-	default:
-		return base, nil
-	}
+	return mirror(est, &cached{inner: est, cc: cc, prefix: cc.Scope + "|" + est.Name() + "|"}), nil
 }
 
 type cached struct {
@@ -225,7 +195,7 @@ func (e *cached) pairThrough(ctx context.Context, u, v graph.NodeID) (float64, e
 	return r.(float64), nil
 }
 
-func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+func (e *cached) multiSourceThrough(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
 	rs, err := e.rankedMultiSource(ctx, sources)
 	if err != nil {
 		return nil, err
@@ -247,18 +217,11 @@ func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]co
 // on (singleflight) rather than recomputed, and a fully cached batch
 // never touches the backend. Duplicate sources share one Ranked.
 func (e *cached) rankedMultiSource(ctx context.Context, sources []graph.NodeID) ([]*Ranked, error) {
-	out := make([]*Ranked, len(sources))
 	ms, ok := e.inner.(MultiSourcer)
 	if !ok {
-		for i, u := range sources {
-			r, err := e.rankedSingleSource(ctx, u, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
+		return rankEach(ctx, e, sources)
 	}
+	out := make([]*Ranked, len(sources))
 	var missUniq []graph.NodeID
 	missKey := make(map[graph.NodeID]string)
 	version := e.cc.Version()
@@ -312,66 +275,4 @@ func (e *cached) rankedMultiSource(ctx context.Context, sources []graph.NodeID) 
 		}
 	}
 	return out, nil
-}
-
-type cachedTopK struct{ *cached }
-
-func (e cachedTopK) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-type cachedPair struct{ *cached }
-
-func (e cachedPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type cachedMulti struct{ *cached }
-
-func (e cachedMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
-}
-
-type cachedTopKPair struct{ *cached }
-
-func (e cachedTopKPair) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e cachedTopKPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type cachedTopKMulti struct{ *cached }
-
-func (e cachedTopKMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e cachedTopKMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
-}
-
-type cachedPairMulti struct{ *cached }
-
-func (e cachedPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e cachedPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
-}
-
-type cachedTopKPairMulti struct{ *cached }
-
-func (e cachedTopKPairMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e cachedTopKPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e cachedTopKPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
 }

@@ -2,14 +2,15 @@
 // algorithm family in the repository. It exposes one Estimator
 // interface — context-aware single-source queries, with top-k and
 // single-pair where a family supports them natively — implemented by
-// adapters for CrashSim, ProbeSim, SLING, READS and the Power Method,
-// and a by-name registry so servers, CLIs and the benchmark harness
-// dispatch uniformly instead of hand-rolling per-family switches.
+// adapters for CrashSim, ProbeSim, SLING, READS, PRSim and the Power
+// Method, and a by-name registry so servers, CLIs and the benchmark
+// harness dispatch uniformly instead of hand-rolling per-family
+// switches.
 //
 // Construction cost is deliberately part of the contract: engine.New
-// for an index-based family (sling, reads, exact) pays the whole index
-// build, so one Estimator serves many queries — exactly the shape a
-// service needs. Index-free families (crashsim, probesim) construct in
+// for an index-based family (sling, reads, prsim, exact) pays the
+// whole index build, so one Estimator serves many queries — exactly
+// the shape a service needs. Index-free families (crashsim, probesim) construct in
 // O(1). All constructors and queries honor context cancellation.
 package engine
 
@@ -127,9 +128,6 @@ type Builder func(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, e
 var registry = map[string]Builder{
 	"crashsim": newCrashSim,
 	"probesim": newProbeSim,
-	"sling":    newSLING,
-	"reads":    newREADS,
-	"prsim":    newPRSim,
 	"exact":    newExact,
 }
 
@@ -175,7 +173,7 @@ func New(ctx context.Context, name string, g *graph.Graph, cfg Config) (Estimato
 	if reg == nil {
 		reg = obs.Default
 	}
-	return meter(est, newBackendMetrics(reg, name)), nil
+	return mirror(est, &metered{inner: est, m: newBackendMetrics(reg, name)}), nil
 }
 
 // TopK answers the top-k query through est: natively when est

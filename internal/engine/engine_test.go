@@ -264,3 +264,37 @@ func TestTopKFallback(t *testing.T) {
 		t.Errorf("Pair = %g, top-1 score = %g", p, top[0].Score)
 	}
 }
+
+// TestNilContext: every backend treats a nil ctx as
+// context.Background() on all four query ops, as engine.New does.
+func TestNilContext(t *testing.T) {
+	var nilCtx context.Context
+	g := graph.PaperExample()
+	ops := map[string]func(est Estimator) error{
+		"singlesource": func(est Estimator) error { _, err := est.SingleSource(nilCtx, 0, nil); return err },
+		"topk":         func(est Estimator) error { _, err := TopK(nilCtx, est, 0, 3); return err },
+		"pair":         func(est Estimator) error { _, err := Pair(nilCtx, est, 0, 3); return err },
+		"multisource": func(est Estimator) error {
+			_, err := MultiSource(nilCtx, est, []graph.NodeID{0, 3})
+			return err
+		},
+	}
+	for _, name := range Names() {
+		est, err := New(nilCtx, name, g, Config{Iterations: 50, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for op, run := range ops {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s %s with nil ctx panicked: %v", name, op, r)
+					}
+				}()
+				if err := run(est); err != nil {
+					t.Errorf("%s %s with nil ctx: %v", name, op, err)
+				}
+			}()
+		}
+	}
+}

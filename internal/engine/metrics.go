@@ -26,10 +26,9 @@ import (
 // queries.multisource once per batch, and records one latency
 // observation for the whole batch.
 //
-// The wrapper preserves the inner estimator's capabilities: it only
-// advertises TopKer/Pairer/MultiSourcer when the wrapped backend does,
-// so the package-level TopK/Pair/MultiSource fallbacks behave exactly
-// as before.
+// The wrapper preserves the inner estimator's capabilities (see
+// mirror): it advertises TopKer/Pairer/MultiSourcer exactly when the
+// wrapped backend does.
 type backendMetrics struct {
 	queries      *obs.Counter
 	singleSource *obs.Counter
@@ -86,8 +85,6 @@ func (e *metered) SingleSource(ctx context.Context, u graph.NodeID, omega []grap
 	return s, err
 }
 
-// topK/pairThrough are the native-capability passthroughs; they are
-// only reachable from wrapper types that advertise the interface.
 func (e *metered) topKThrough(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	e.m.queries.Inc()
 	e.m.topK.Inc()
@@ -115,103 +112,24 @@ func (e *metered) multiSourceThrough(ctx context.Context, sources []graph.NodeID
 	return r, err
 }
 
-// The wrapper combos below cover every subset of the three optional
-// interfaces, so the metered estimator advertises exactly what the
-// wrapped backend implements. meter picks the variant by capability
-// bitmask.
-
-type meteredTopK struct{ *metered }
-
-func (e meteredTopK) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-type meteredPair struct{ *metered }
-
-func (e meteredPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type meteredMulti struct{ *metered }
-
-func (e meteredMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-type meteredTopKPair struct{ *metered }
-
-func (e meteredTopKPair) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e meteredTopKPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type meteredTopKMulti struct{ *metered }
-
-func (e meteredTopKMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e meteredTopKMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-type meteredPairMulti struct{ *metered }
-
-func (e meteredPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e meteredPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-type meteredTopKPairMulti struct{ *metered }
-
-func (e meteredTopKPairMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e meteredTopKPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e meteredTopKPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-// meter wraps inner with metrics, picking the wrapper variant that
-// mirrors the inner estimator's optional interfaces.
-func meter(inner Estimator, m *backendMetrics) Estimator {
-	base := &metered{inner: inner, m: m}
-	var mask int
-	if _, ok := inner.(TopKer); ok {
-		mask |= 1
+// metered stores no ranked results: its ranked ops rank what its
+// metered ops return, as RankedSingleSource and RankedMultiSource do
+// for an unwrapped estimator.
+func (e *metered) rankedSingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (*Ranked, error) {
+	s, err := e.SingleSource(ctx, u, omega)
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := inner.(Pairer); ok {
-		mask |= 2
+	return newRanked(s, u), nil
+}
+
+func (e *metered) rankedMultiSource(ctx context.Context, sources []graph.NodeID) ([]*Ranked, error) {
+	if _, ok := e.inner.(MultiSourcer); !ok {
+		return rankEach(ctx, e, sources)
 	}
-	if _, ok := inner.(MultiSourcer); ok {
-		mask |= 4
+	all, err := e.multiSourceThrough(ctx, sources)
+	if err != nil {
+		return nil, err
 	}
-	switch mask {
-	case 1:
-		return meteredTopK{base}
-	case 2:
-		return meteredPair{base}
-	case 3:
-		return meteredTopKPair{base}
-	case 4:
-		return meteredMulti{base}
-	case 5:
-		return meteredTopKMulti{base}
-	case 6:
-		return meteredPairMulti{base}
-	case 7:
-		return meteredTopKPairMulti{base}
-	default:
-		return base
-	}
+	return rankAll(all, sources), nil
 }

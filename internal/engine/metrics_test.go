@@ -2,9 +2,15 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"crashsim/internal/cache"
+	"crashsim/internal/core"
 	"crashsim/internal/graph"
 	"crashsim/internal/obs"
 )
@@ -137,4 +143,160 @@ func TestMeteringPreservesCapabilities(t *testing.T) {
 			t.Errorf("Name() = %q through wrapper, want %q", est.Name(), tc.algo)
 		}
 	}
+}
+
+// TestCapabilityRouting pins which inner op each package-level entry
+// point reaches, on every backend, plain and behind Cached: the
+// engine.<backend>.queries.* and cache hit/miss deltas of each call,
+// and that every form answers with the same result bits. A Cached
+// estimator is called twice, so the second call shows which entry the
+// first one filled (TopK on a backend without native top-k hits the
+// "ss" entry, for instance).
+func TestCapabilityRouting(t *testing.T) {
+	type tally struct{ queries, ss, topk, pair, multi, hits, misses uint64 }
+	sources := []graph.NodeID{0, 3, 0}
+	ops := []struct {
+		name string
+		run  func(ctx context.Context, est Estimator) (string, error)
+	}{
+		{"topk", func(ctx context.Context, est Estimator) (string, error) {
+			r, err := TopK(ctx, est, 0, 3)
+			return routingBits(r), err
+		}},
+		{"pair", func(ctx context.Context, est Estimator) (string, error) {
+			s, err := Pair(ctx, est, 0, 3)
+			return routingBits(s), err
+		}},
+		{"multisource", func(ctx context.Context, est Estimator) (string, error) {
+			r, err := MultiSource(ctx, est, sources)
+			return routingBits(r), err
+		}},
+		{"ranked", func(ctx context.Context, est Estimator) (string, error) {
+			r, err := RankedSingleSource(ctx, est, 0)
+			if err != nil {
+				return "", err
+			}
+			return routingBits([]any{r.Top(100), r.Map()}), nil
+		}},
+	}
+	// Which optional interfaces each backend implements natively.
+	native := map[string]map[string]bool{
+		"crashsim": {"topk": true, "pair": true, "multisource": true},
+		"exact":    {"pair": true},
+		"probesim": {},
+		"prsim":    {"multisource": true},
+		"reads":    {},
+		"sling":    {},
+	}
+	// Deltas of one plain call and of the first and second Cached call,
+	// by op and whether the backend serves it natively.
+	type key struct {
+		op     string
+		native bool
+	}
+	want := map[key][3]tally{
+		{"topk", true}:         {{queries: 1, topk: 1}, {queries: 1, topk: 1, misses: 1}, {hits: 1}},
+		{"topk", false}:        {{queries: 1, ss: 1}, {queries: 1, ss: 1, misses: 1}, {hits: 1}},
+		{"pair", true}:         {{queries: 1, pair: 1}, {queries: 1, pair: 1, misses: 1}, {hits: 1}},
+		{"pair", false}:        {{queries: 1, ss: 1}, {queries: 1, ss: 1, misses: 1}, {hits: 1}},
+		{"multisource", true}:  {{queries: 3, multi: 1}, {queries: 2, multi: 1, misses: 4}, {hits: 3}},
+		{"multisource", false}: {{queries: 3, ss: 3}, {queries: 2, ss: 2, misses: 2, hits: 1}, {hits: 3}},
+		{"ranked", false}:      {{queries: 1, ss: 1}, {queries: 1, ss: 1, misses: 1}, {hits: 1}},
+	}
+
+	ctx := context.Background()
+	g := graph.PaperExample()
+	for _, name := range Names() {
+		for _, op := range ops {
+			reg := obs.NewRegistry()
+			read := func() tally {
+				p := "engine." + name + ".queries"
+				return tally{
+					reg.Counter(p).Load(), reg.Counter(p + ".singlesource").Load(),
+					reg.Counter(p + ".topk").Load(), reg.Counter(p + ".pair").Load(),
+					reg.Counter(p + ".multisource").Load(),
+					reg.Counter("cache.hits").Load(), reg.Counter("cache.misses").Load(),
+				}
+			}
+			c, err := cache.New(cache.Config{MaxBytes: 8 << 20, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := New(ctx, name, g, Config{Iterations: 50, Seed: 1, Metrics: reg})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cached, err := Cached(plain, CacheConfig{Cache: c, Scope: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp, ok := want[key{op.name, native[name][op.name]}]
+			if !ok {
+				t.Fatalf("no expectation for %s on %s", op.name, name)
+			}
+			var first string
+			for i, est := range []Estimator{plain, cached, cached} {
+				before := read()
+				bits, err := op.run(ctx, est)
+				if err != nil {
+					t.Fatalf("%s %s call %d: %v", name, op.name, i, err)
+				}
+				after := read()
+				got := tally{
+					after.queries - before.queries, after.ss - before.ss,
+					after.topk - before.topk, after.pair - before.pair,
+					after.multi - before.multi,
+					after.hits - before.hits, after.misses - before.misses,
+				}
+				if got != exp[i] {
+					t.Errorf("%s %s call %d: deltas %+v, want %+v", name, op.name, i, got, exp[i])
+				}
+				if i == 0 {
+					first = bits
+				} else if bits != first {
+					t.Errorf("%s %s call %d: result bits differ from the plain call", name, op.name, i)
+				}
+			}
+		}
+	}
+}
+
+// routingBits renders a query result with every score as its IEEE-754
+// bits, map entries in node order, so two results compare bit for bit.
+func routingBits(v any) string {
+	var b strings.Builder
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case float64:
+			fmt.Fprintf(&b, "%x ", math.Float64bits(v))
+		case []core.TopKResult:
+			for _, r := range v {
+				fmt.Fprintf(&b, "%d:", r.Node)
+				walk(r.Score)
+			}
+		case core.Scores:
+			nodes := make([]graph.NodeID, 0, len(v))
+			for u := range v {
+				nodes = append(nodes, u)
+			}
+			slices.Sort(nodes)
+			for _, u := range nodes {
+				fmt.Fprintf(&b, "%d=", u)
+				walk(v[u])
+			}
+		case []core.Scores:
+			for _, s := range v {
+				walk(s)
+				b.WriteString("| ")
+			}
+		case []any:
+			for _, x := range v {
+				walk(x)
+				b.WriteString("| ")
+			}
+		}
+	}
+	walk(v)
+	return b.String()
 }

@@ -33,6 +33,28 @@ func preloadConfig() Config {
 	return Config{Seed: 11, SlingDSamples: 16, ReadsR: 8, ReadsRQ: 2, Metrics: obs.NewRegistry()}
 }
 
+// buildAll returns cfg carrying every index family's index built over g.
+func buildAll(t *testing.T, g *graph.Graph, cfg Config) Config {
+	t.Helper()
+	for _, name := range IndexNames() {
+		f, _ := LookupIndex(name)
+		if err := f.Build(context.Background(), g, &cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return cfg
+}
+
+// exportAll returns a snapshot of g carrying every index cfg holds.
+func exportAll(g *graph.Graph, cfg Config) *store.Snapshot {
+	snap := &store.Snapshot{Graph: g}
+	for _, name := range IndexNames() {
+		f, _ := LookupIndex(name)
+		f.Export(cfg, snap)
+	}
+	return snap
+}
+
 // TestPreloadedIndexBitIdentical is the end-to-end restart equivalence
 // guarantee: for every index-persisting backend, an estimator over an
 // index that went through the full snapshot round trip (export, encode,
@@ -43,25 +65,13 @@ func TestPreloadedIndexBitIdentical(t *testing.T) {
 	g := preloadGraph(t)
 	cfg := preloadConfig()
 
-	slIx, err := BuildSlingIndex(ctx, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdIx, err := BuildReadsIndex(ctx, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prIx, err := BuildPRSimIndex(ctx, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	built := buildAll(t, g, cfg)
 	// Warm a few tail tables so the exported prsim payload carries lazy
 	// entries too, not just the eager hubs.
-	if _, err := prIx.SingleSource(0); err != nil {
+	if _, err := built.PRSimIndex.SingleSource(0); err != nil {
 		t.Fatal(err)
 	}
-	slP, rdP, prP := slIx.Export(), rdIx.Export(), prIx.Export()
-	data, err := store.Encode(&store.Snapshot{Graph: g, Sling: &slP, Reads: &rdP, PRSim: &prP})
+	data, err := store.Encode(exportAll(g, built))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +80,11 @@ func TestPreloadedIndexBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	preCfg := cfg
-	if preCfg.SlingIndex, err = snap.ImportSling(g); err != nil {
-		t.Fatal(err)
-	}
-	if preCfg.ReadsIndex, err = snap.ImportReads(g); err != nil {
-		t.Fatal(err)
-	}
-	if preCfg.PRSimIndex, err = snap.ImportPRSim(g); err != nil {
-		t.Fatal(err)
+	for _, name := range IndexNames() {
+		f, _ := LookupIndex(name)
+		if err := f.Import(snap, g, &preCfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, name := range []string{"sling", "reads", "prsim"} {
@@ -114,24 +121,12 @@ func TestPreloadedMappedIndexBitIdentical(t *testing.T) {
 	g := preloadGraph(t)
 	cfg := preloadConfig()
 
-	slIx, err := BuildSlingIndex(ctx, g, cfg)
-	if err != nil {
+	built := buildAll(t, g, cfg)
+	if _, err := built.PRSimIndex.SingleSource(0); err != nil {
 		t.Fatal(err)
 	}
-	rdIx, err := BuildReadsIndex(ctx, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prIx, err := BuildPRSimIndex(ctx, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prIx.SingleSource(0); err != nil {
-		t.Fatal(err)
-	}
-	slP, rdP, prP := slIx.Export(), rdIx.Export(), prIx.Export()
 	path := filepath.Join(t.TempDir(), "engine.snap")
-	if err := store.Write(path, &store.Snapshot{Graph: g, Sling: &slP, Reads: &rdP, PRSim: &prP}); err != nil {
+	if err := store.Write(path, exportAll(g, built)); err != nil {
 		t.Fatal(err)
 	}
 	for _, verify := range []store.VerifyPolicy{store.VerifyOnLoadSection, store.VerifyEager, store.VerifyNone} {
@@ -142,18 +137,13 @@ func TestPreloadedMappedIndexBitIdentical(t *testing.T) {
 			}
 			defer mp.Close()
 			preCfg := cfg
-			if preCfg.SlingIndex, err = mp.ImportSling(g); err != nil {
-				t.Fatal(err)
+			for _, name := range IndexNames() {
+				f, _ := LookupIndex(name)
+				if err := f.Import(mp, g, &preCfg); err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close(preCfg)
 			}
-			defer preCfg.SlingIndex.Close()
-			if preCfg.ReadsIndex, err = mp.ImportReads(g); err != nil {
-				t.Fatal(err)
-			}
-			defer preCfg.ReadsIndex.Close()
-			if preCfg.PRSimIndex, err = mp.ImportPRSim(g); err != nil {
-				t.Fatal(err)
-			}
-			defer preCfg.PRSimIndex.Close()
 			for _, name := range []string{"sling", "reads", "prsim"} {
 				built, err := New(ctx, name, g, cfg)
 				if err != nil {
@@ -185,18 +175,7 @@ func TestPreloadRefusesWrongGraph(t *testing.T) {
 	ctx := context.Background()
 	g := preloadGraph(t)
 	other := graph.NewBuilder(20, true).AddEdge(0, 1).AddEdge(1, 2).MustFreeze()
-	cfg := preloadConfig()
-
-	var err error
-	if cfg.SlingIndex, err = BuildSlingIndex(ctx, other, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ReadsIndex, err = BuildReadsIndex(ctx, other, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.PRSimIndex, err = BuildPRSimIndex(ctx, other, cfg); err != nil {
-		t.Fatal(err)
-	}
+	cfg := buildAll(t, other, preloadConfig())
 	for _, name := range []string{"sling", "reads", "prsim"} {
 		if _, err := New(ctx, name, g, cfg); err == nil ||
 			!strings.Contains(err.Error(), "serving graph") {
@@ -208,24 +187,20 @@ func TestPreloadRefusesWrongGraph(t *testing.T) {
 func TestPreloadRefusesWrongOptions(t *testing.T) {
 	ctx := context.Background()
 	g := preloadGraph(t)
-	cfg := preloadConfig()
-
-	var err error
-	if cfg.SlingIndex, err = BuildSlingIndex(ctx, g, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ReadsIndex, err = BuildReadsIndex(ctx, g, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.PRSimIndex, err = BuildPRSimIndex(ctx, g, cfg); err != nil {
-		t.Fatal(err)
-	}
+	cfg := buildAll(t, g, preloadConfig())
 	mismatched := cfg
 	mismatched.Seed = 999
 	for _, name := range []string{"sling", "reads", "prsim"} {
 		if _, err := New(ctx, name, g, mismatched); err == nil ||
 			!strings.Contains(err.Error(), "config asks for") {
 			t.Fatalf("%s: New accepted an index with mismatched options (err=%v)", name, err)
+		}
+		// Adopt takes the options the index was built with.
+		adopted := mismatched
+		f, _ := LookupIndex(name)
+		f.Adopt(&adopted)
+		if _, err := New(ctx, name, g, adopted); err != nil {
+			t.Fatalf("%s: New refused the index after Adopt: %v", name, err)
 		}
 	}
 	// Workers is a runtime knob: changing it must NOT invalidate an index.

@@ -72,21 +72,13 @@ func (r *Ranked) Map() core.Scores {
 	return out
 }
 
-// rankedSourcer is implemented by the result cache wrapper, which
-// stores single-source results as Ranked and serves them without
-// re-ranking.
-type rankedSourcer interface {
-	rankedSingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (*Ranked, error)
-	rankedMultiSource(ctx context.Context, sources []graph.NodeID) ([]*Ranked, error)
-}
-
 // RankedSingleSource answers sim(u, ·) as a Ranked result: the cached
 // entry itself when est is a Cached wrapper, otherwise a ranking of one
 // SingleSource map. Callers must treat it as read-only; its accessors
 // return copies.
 func RankedSingleSource(ctx context.Context, est Estimator, u graph.NodeID) (*Ranked, error) {
-	if rs, ok := est.(rankedSourcer); ok {
-		return rs.rankedSingleSource(ctx, u, nil)
+	if f, ok := est.(forwarder); ok {
+		return f.rankedSingleSource(ctx, u, nil)
 	}
 	s, err := est.SingleSource(ctx, u, nil)
 	if err != nil {
@@ -101,16 +93,21 @@ func RankedSingleSource(ctx context.Context, est Estimator, u graph.NodeID) (*Ra
 // MultiSource's sequential fallback it is all-or-nothing: on error the
 // result is nil.
 func RankedMultiSource(ctx context.Context, est Estimator, sources []graph.NodeID) ([]*Ranked, error) {
-	if rs, ok := est.(rankedSourcer); ok {
-		return rs.rankedMultiSource(ctx, sources)
+	if f, ok := est.(forwarder); ok {
+		return f.rankedMultiSource(ctx, sources)
 	}
 	all, err := MultiSource(ctx, est, sources)
 	if err != nil {
 		return nil, err
 	}
+	return rankAll(all, sources), nil
+}
+
+// rankAll ranks each map of a batch against its source.
+func rankAll(all []core.Scores, sources []graph.NodeID) []*Ranked {
 	out := make([]*Ranked, len(all))
 	for i, s := range all {
 		out[i] = newRanked(s, sources[i])
 	}
-	return out, nil
+	return out
 }

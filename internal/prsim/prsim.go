@@ -537,6 +537,9 @@ func (ix *Index) SingleSource(u graph.NodeID) (map[graph.NodeID]float64, error) 
 // are compiled on first visit and cached for later queries. Safe for
 // concurrent use; honors ctx between walk batches.
 func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph.NodeID]float64, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	n := ix.g.NumNodes()
 	if u < 0 || int(u) >= n {
 		return nil, fmt.Errorf("prsim: source %d out of range for n=%d", u, n)
@@ -598,6 +601,9 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 // one lazy table build per unique visited node through the per-node
 // singleflight and one pooled scratch arena per worker.
 func (ix *Index) MultiSource(ctx context.Context, sources []graph.NodeID) ([]map[graph.NodeID]float64, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	n := ix.g.NumNodes()
 	for _, u := range sources {
 		if u < 0 || int(u) >= n {

@@ -54,14 +54,15 @@ func hitCost(t *testing.T, s *Server, method, path, body string) (allocs, bytes 
 	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// TestCachedHitAllocationBudget: a cached /singlesource?k=10 hit and a
-// cached 4-source batch cost a fixed number of allocations and bytes,
-// whatever the graph size. Serving a hit by cloning the cached score
-// map and sorting all of it costs O(n) of both: 61 KiB per single hit
-// at n=1000, 425 KiB at n=8000. The budgets are the values measured
-// when they were set (47 allocs / 8.8 KiB and 64 allocs / 12 KiB) plus
-// headroom for the race detector, whose sync.Pool drops add a few
-// allocations.
+// TestCachedHitAllocationBudget: a cached /singlesource?k=10 hit, a
+// cached 4-source batch, and cached /topk and /pair hits cost a fixed
+// number of allocations and bytes, whatever the graph size. Serving a
+// hit by cloning the cached score map and sorting all of it costs O(n)
+// of both: 61 KiB per single hit at n=1000, 425 KiB at n=8000. The
+// budgets are the values measured when they were set (47 allocs /
+// 8.8 KiB, 64 allocs / 12 KiB, 46 allocs / 8.6 KiB and 44 allocs /
+// 7.8 KiB) plus headroom for the race detector, whose sync.Pool drops
+// add a few allocations.
 func TestCachedHitAllocationBudget(t *testing.T) {
 	for _, q := range []struct {
 		method, path, body string
@@ -69,6 +70,8 @@ func TestCachedHitAllocationBudget(t *testing.T) {
 	}{
 		{"GET", "/singlesource?u=1&k=10", "", 64, 16 << 10},
 		{"POST", "/batch/singlesource", `{"sources":[1,2,3,4],"k":10}`, 96, 24 << 10},
+		{"GET", "/topk?u=1&k=10", "", 64, 16 << 10},
+		{"GET", "/pair?u=1&v=2", "", 64, 16 << 10},
 	} {
 		var cost [2][2]float64
 		for i, n := range []int{1000, 8000} {

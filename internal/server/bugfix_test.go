@@ -104,9 +104,9 @@ func TestServedAndRejectedCountWeight(t *testing.T) {
 // of silently serving wrong-graph scores.
 func TestConfigPreloadedIndexPassthrough(t *testing.T) {
 	g := graph.PaperExample()
+	sl, _ := engine.LookupIndex("sling")
 	ecfg := engine.Config{Seed: 1, SlingDSamples: 16}
-	ix, err := engine.BuildSlingIndex(context.Background(), g, ecfg)
-	if err != nil {
+	if err := sl.Build(context.Background(), g, &ecfg); err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
@@ -114,7 +114,7 @@ func TestConfigPreloadedIndexPassthrough(t *testing.T) {
 		Algo:       "sling",
 		Params:     core.Params{Seed: 1},
 		Metrics:    obs.NewRegistry(),
-		SlingIndex: ix,
+		SlingIndex: ecfg.SlingIndex,
 	}
 	// The server's engine config maps Params onto sling options; the
 	// index above was built with matching seed but its own DSamples, so
@@ -122,11 +122,11 @@ func TestConfigPreloadedIndexPassthrough(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted a preloaded index with mismatched options")
 	}
-	ix, err = engine.BuildSlingIndex(context.Background(), g, engine.Config{Seed: 1})
-	if err != nil {
+	ecfg = engine.Config{Seed: 1}
+	if err := sl.Build(context.Background(), g, &ecfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.SlingIndex = ix
+	cfg.SlingIndex = ecfg.SlingIndex
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -27,13 +27,14 @@ func TestMetricsExposesStoreCounters(t *testing.T) {
 		C: p.C, Eps: p.Eps, Delta: p.Delta,
 		Iterations: p.Iterations, Workers: p.Workers, Seed: p.Seed,
 	}
-	ix, err := engine.BuildSlingIndex(ctx, g, ecfg)
-	if err != nil {
+	sl, _ := engine.LookupIndex("sling")
+	if err := sl.Build(ctx, g, &ecfg); err != nil {
 		t.Fatal(err)
 	}
-	pay := ix.Export()
+	snap := &store.Snapshot{Graph: g}
+	sl.Export(ecfg, snap)
 	path := filepath.Join(t.TempDir(), "sling.snap")
-	if err := store.Write(path, &store.Snapshot{Graph: g, Sling: &pay}); err != nil {
+	if err := store.Write(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	mp, err := store.OpenMapped(path, store.MapOptions{})
